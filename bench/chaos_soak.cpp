@@ -16,15 +16,18 @@
 //   D  disk chaos       — trace writer under injected EIO/short writes is
 //                         byte-identical to a clean write; deterministic
 //                         corruption is then recovered with exact
-//                         record accounting via checkpoints
+//                         record accounting via checkpoints, and the
+//                         engine's recover-mode report over the damaged
+//                         file equals its report over a clean file of
+//                         exactly the recovered records
 //   E  overload shed    — tiny rings + shedding: finish() returns and
 //                         framesSeen + framesShed == framesDispatched
 //   F  v2 disk chaos    — the columnar v2 writer under the same injected
 //                         IO faults is byte-identical to a clean write; a
 //                         CRC-corrupted extent is skipped with exact
 //                         record accounting and the analysis engine's
-//                         report over the damaged file is byte-identical
-//                         at any worker count
+//                         report over the damaged file equals its report
+//                         over a clean file of the recovered records
 //   G  kill/restart     — the continuous-capture daemon, SIGKILLed ≥3
 //                         times (twice genuinely mid-rotation, in the
 //                         rename-sealed-but-unjournaled window) under the
@@ -188,7 +191,7 @@ void check(bool ok, const char* what) {
 }
 
 /// Write `recs` to a fresh v2 trace and run the standard 8-pass engine
-/// report over it — the oracle phase G compares daemon streams with.
+/// report over it — the oracle phases D, F and G compare with.
 std::string engineReportOver(const std::vector<TraceRecord>& recs,
                              const std::string& tmpPath) {
   {
@@ -203,7 +206,7 @@ std::string engineReportOver(const std::vector<TraceRecord>& recs,
   TraceReader reader(tmpPath);
   engine.run(reader);
   std::remove(tmpPath.c_str());
-  return renderReportText("daemon", analyses);
+  return renderReportText("chaos", analyses);
 }
 
 /// All records physically present in the listed segments, in seq order.
@@ -393,24 +396,23 @@ int main(int argc, char** argv) {
   check(recovered.size() == rs.recovered, "recovered records returned");
 
   // The analysis engine over the damaged trace, recover mode: the full
-  // report must be byte-identical serial vs sharded, every recovered
-  // record must be analyzed, and the resync cuts must surface as a
-  // DEGRADED alert through the standard watch-list.
+  // report must equal the report over a clean file holding exactly the
+  // recovered records, every recovered record must be analyzed, and the
+  // resync cuts must surface as a DEGRADED alert through the standard
+  // watch-list.
   obs::Registry engineReg;
-  std::string serialReport, shardedReport;
   AnalysisEngine::Stats engineStats;
-  for (int workers : {1, kShards}) {
+  std::string damagedReport;
+  {
     StandardAnalyses analyses;
-    AnalysisEngine::Config ec;
-    ec.workers = static_cast<std::size_t>(workers);
-    AnalysisEngine engine(ec);
+    AnalysisEngine engine(AnalysisEngine::Config{});
     engine.addPasses(analyses.all());
-    if (workers != 1) engine.attachMetrics(engineReg);
-    TraceReader reader(corruptPath, /*recover=*/true);
-    engineStats = engine.run(reader);
-    (workers == 1 ? serialReport : shardedReport) =
-        renderReportText("chaos", analyses);
+    engine.attachMetrics(engineReg);
+    engineStats = engine.runFile(corruptPath, /*recover=*/true);
+    damagedReport = renderReportText("chaos", analyses);
   }
+  std::string cleanReport =
+      engineReportOver(recovered, "bench_chaos_recovered.trace");
   std::printf("  engine: %llu records in %llu batches, %llu resync cuts\n",
               static_cast<unsigned long long>(engineStats.records),
               static_cast<unsigned long long>(engineStats.batches),
@@ -418,8 +420,10 @@ int main(int argc, char** argv) {
   check(engineStats.records == rs.recovered,
         "engine analyzed every recovered record");
   check(engineStats.resyncCuts > 0, "resyncs landed on batch boundaries");
-  check(!serialReport.empty() && serialReport == shardedReport,
-        "engine report byte-identical serial vs sharded");
+  const bool dEngineIdentical =
+      !damagedReport.empty() && damagedReport == cleanReport;
+  check(dEngineIdentical,
+        "engine report over damaged trace == report over recovered records");
   std::string alerts = obs::SnapshotExporter::renderAlerts(
       engineReg.scrape(), obs::defaultAlertCounters());
   check(alerts.find("engine.resync_cuts") != std::string::npos,
@@ -520,26 +524,25 @@ int main(int argc, char** argv) {
   check(v2Recovered.size() == v2rs.recovered, "recovered records returned");
 
   // The engine over the damaged v2 file must behave exactly like phase D
-  // over damaged text: identical reports at any worker count.
-  std::string v2SerialReport, v2ShardedReport;
+  // over damaged text: its report equals the report over the recovered
+  // records alone.
   AnalysisEngine::Stats v2EngineStats;
-  for (int workers : {1, kShards}) {
+  std::string v2DamagedReport;
+  {
     StandardAnalyses analyses;
-    AnalysisEngine::Config ec;
-    ec.workers = static_cast<std::size_t>(workers);
-    AnalysisEngine engine(ec);
+    AnalysisEngine engine(AnalysisEngine::Config{});
     engine.addPasses(analyses.all());
-    TraceReader reader(v2CorruptPath, /*recover=*/true);
-    v2EngineStats = engine.run(reader);
-    (workers == 1 ? v2SerialReport : v2ShardedReport) =
-        renderReportText("chaos", analyses);
+    v2EngineStats = engine.runFile(v2CorruptPath, /*recover=*/true);
+    v2DamagedReport = renderReportText("chaos", analyses);
   }
   check(v2EngineStats.records == v2rs.recovered,
         "engine analyzed every recovered v2 record");
   bool fEngineIdentical =
-      !v2SerialReport.empty() && v2SerialReport == v2ShardedReport;
+      !v2DamagedReport.empty() &&
+      v2DamagedReport ==
+          engineReportOver(v2Recovered, "bench_chaos_v2_recovered.trace");
   check(fEngineIdentical,
-        "engine report over damaged v2 byte-identical serial vs sharded");
+        "engine report over damaged v2 == report over recovered records");
 
   // Phase G: the continuous-capture daemon killed and restarted
   // mid-rotation.  The record stream is phase B's wire-chaos output, the
@@ -760,7 +763,7 @@ int main(int argc, char** argv) {
       seen + shed == dispatched ? "true" : "false",
       static_cast<unsigned long long>(engineStats.records),
       static_cast<unsigned long long>(engineStats.resyncCuts),
-      serialReport == shardedReport ? "true" : "false",
+      dEngineIdentical ? "true" : "false",
       static_cast<unsigned long long>(v2io.retries),
       static_cast<unsigned long long>(v2io.shortWrites),
       fIdentical ? "true" : "false", v2Index ? v2Index->size() : 0,

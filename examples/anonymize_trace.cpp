@@ -84,8 +84,16 @@ int main(int argc, char** argv) {
 
   // The anonymized trace keeps the input's format: a site anonymizing a
   // v2 archive for publication gets a v2 archive back.
-  TraceWriter::Format format = detectTraceFormat(input);
-  auto records = TraceReader::readAll(input);
+  TraceWriter::Format format = TraceWriter::Format::Text;
+  std::vector<TraceRecord> records;
+  try {
+    // Also refuses a file in the retired v1 binary format by name.
+    format = detectTraceFormat(input);
+    records = TraceReader::readAll(input);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 3;
+  }
   std::printf("read %llu records from %s (%s format)\n",
               static_cast<unsigned long long>(records.size()), input.c_str(),
               traceFormatName(format));

@@ -2,7 +2,7 @@
 // checkpoint-aligned rotation, crash recovery, retention, supervision.
 //
 //   nfstraced [--config configs/daemon.cfg] [--dir DIR] [--prefix P]
-//             [--format text|binary|v2] [--rotate-records N]
+//             [--format text|v2] [--rotate-records N]
 //             [--rotate-bytes N] [--retain-segments N] [--retain-bytes N]
 //             [--compact-after-s S] [--records N] [--sim-hours H]
 //             [--chaos plan.cfg] [--supervise N] [--status]
@@ -34,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <stdexcept>
 #include <string>
 
 #include "daemon/daemon.hpp"
@@ -88,7 +89,12 @@ void applyConfigFile(Options& o, const std::string& path) {
   o.dir = cfg.get("dir", o.dir);
   o.prefix = cfg.get("prefix", o.prefix);
   if (auto f = cfg.get("format")) {
-    if (auto fmt = traceFormatFromName(*f)) o.format = *fmt;
+    auto fmt = traceFormatFromName(*f);
+    if (!fmt) {
+      throw std::runtime_error(path + ": unknown format \"" + *f +
+                               "\" (text, v2)");
+    }
+    o.format = *fmt;
   }
   o.rotateRecords = static_cast<std::uint64_t>(
       cfg.getInt("rotate_records", static_cast<std::int64_t>(o.rotateRecords)));

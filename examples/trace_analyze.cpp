@@ -1,16 +1,15 @@
 // Single-pass analysis driver: every table and figure from one scan.
 //
-//   trace_analyze [--workers N] [--decode-threads N] [--json] [--recover]
+//   trace_analyze [--decode-threads N] [--json] [--recover]
 //                 [--batch N] [--from SEC] [--to SEC] [--ops a,b,...]
 //                 [--uid N] [--metrics] [--flight trace.json] [trace-file]
 //
 // Where trace_stats grew up one analysis at a time (one full decode of
 // the trace per table), trace_analyze decodes each record exactly once
-// and fans the batches out to all eight standard analysis passes.  With
-// --workers N the scan runs on N threads; the output is byte-identical
-// to the serial run at any worker count.
+// and fans the batches out to all eight standard analysis passes.  Text
+// input scans serially; indexed v2 input can scan extent-parallel, and
+// the output is byte-identical to the serial scan at any thread count.
 //
-//   --workers N   worker threads for the scan (default 1 = serial)
 //   --decode-threads N
 //                 extent-decode threads for indexed v2 input: workers
 //                 claim whole extents from the footer index and decode
@@ -26,8 +25,8 @@
 //   --metrics     print the engine's self-monitoring snapshot (batch and
 //                 record counters, intern-table sizes, per-pass observe
 //                 timings) and any DEGRADED alert line to stderr
-//   --flight F    record a per-thread span timeline of the scan (reader
-//                 decode, per-pass observe, pool/ring stalls) to Chrome
+//   --flight F    record a per-thread span timeline of the scan (decode,
+//                 per-pass observe, pool/reorder stalls) to Chrome
 //                 trace-event file F (open in Perfetto) and print the
 //                 stall-attribution report to stderr
 //
@@ -75,7 +74,7 @@ std::string makeDemoTrace() {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--workers N] [--decode-threads N] [--json] "
+               "usage: %s [--decode-threads N] [--json] "
                "[--recover] [--batch N] [--from SEC] [--to SEC] "
                "[--ops a,b,...] [--uid N] [--metrics] "
                "[--flight trace.json] [trace-file]\n",
@@ -90,7 +89,6 @@ int main(int argc, char** argv) {
   bool recover = false;
   bool metrics = false;
   std::string flightPath;
-  std::size_t workers = 1;
   std::size_t batchRecords = TraceBatch::kDefaultCapacity;
   ScanFlags sf;
   std::string input;
@@ -107,8 +105,6 @@ int main(int argc, char** argv) {
       metrics = true;
     } else if (arg == "--flight" && i + 1 < argc) {
       flightPath = argv[++i];
-    } else if (arg == "--workers" && i + 1 < argc) {
-      workers = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--batch" && i + 1 < argc) {
       batchRecords =
           static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
@@ -120,13 +116,18 @@ int main(int argc, char** argv) {
     }
   }
   if (input.empty()) input = makeDemoTrace();
-  std::fprintf(stderr, "%s: %s format\n", input.c_str(),
-               traceFormatName(detectTraceFormat(input)));
+  try {
+    // Also refuses a file in the retired v1 binary format by name.
+    std::fprintf(stderr, "%s: %s format\n", input.c_str(),
+                 traceFormatName(detectTraceFormat(input)));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 3;
+  }
 
   obs::Registry registry;
   StandardAnalyses analyses;
   AnalysisEngine::Config cfg;
-  cfg.workers = workers;
   cfg.batchRecords = batchRecords;
   cfg.decodeThreads = sf.decodeThreads;
   cfg.predicate = sf.predicate;
@@ -142,8 +143,8 @@ int main(int argc, char** argv) {
   if (extentScan) {
     // runFile picks the extent-parallel scanner on indexed v2 input
     // (zone-map pruning + per-extent decode fan-out) and falls back to
-    // the classic reader scan — record-level filtering still applies —
-    // on v1 or index-less input.
+    // the serial reader scan — record-level filtering still applies —
+    // on text or index-less input.
     try {
       st = engine.runFile(input);
     } catch (const std::exception& e) {

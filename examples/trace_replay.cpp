@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "analysis/summary.hpp"
 #include "server/readahead.hpp"
@@ -80,7 +81,14 @@ ReplayResult replay(const std::vector<TraceRecord>& records,
 
 int main(int argc, char** argv) {
   std::string input = argc > 1 ? argv[1] : makeDemoTrace();
-  auto records = TraceReader::readAll(input);
+  std::vector<TraceRecord> records;
+  try {
+    // Also refuses a file in the retired v1 binary format by name.
+    records = TraceReader::readAll(input);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 3;
+  }
   auto s = summarize(records);
   std::printf("%s: %llu records, %llu read ops\n\n", input.c_str(),
               static_cast<unsigned long long>(s.totalOps),

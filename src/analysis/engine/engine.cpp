@@ -2,25 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <string>
 #include <thread>
 
 #include "obs/timer.hpp"
-#include "pipeline/spsc_ring.hpp"
 
 namespace nfstrace {
-namespace {
-
-/// A pooled batch plus its fan-out refcount.  The reader only reuses a
-/// slot after every worker's release-decrement has landed (acquire scan),
-/// so slot reuse never races a worker still reading the batch.
-struct BatchSlot {
-  TraceBatch batch;
-  std::atomic<std::uint32_t> refs{0};
-};
-
-}  // namespace
 
 AnalysisEngine::AnalysisEngine() : AnalysisEngine(Config()) {}
 
@@ -58,17 +45,12 @@ void AnalysisEngine::attachFlight(obs::FlightRecorder& flight) {
 
 const AnalysisEngine::Stats& AnalysisEngine::run(TraceReader& reader) {
   stats_ = {};
-  std::size_t workers = std::max<std::size_t>(config_.workers, 1);
-  for (AnalysisPass* p : passes_) p->prepare(workers);
-  if (workers <= 1) {
-    runSerial(reader);
-  } else {
-    runParallel(reader);
-  }
+  for (AnalysisPass* p : passes_) p->prepare(1);
+  runSerial(reader);
   {
     obs::FlightSpan span(readerFlog_, obs::Stage::Finalize,
                          static_cast<std::uint32_t>(passes_.size()));
-    finalizeAll(workers);
+    finalizeAll(1);
   }
   return stats_;
 }
@@ -77,7 +59,7 @@ const AnalysisEngine::Stats& AnalysisEngine::runFile(const std::string& path,
                                                      bool recover) {
   // The extent path needs a complete, CRC-valid chained index (its
   // extent hops trust the footer) and strict-mode semantics; anything
-  // it cannot serve falls back to the classic reader scan, which
+  // it cannot serve falls back to the serial reader scan, which
   // produces the byte-identical report.
   if (!recover &&
       (config_.decodeThreads > 1 || !config_.predicate.trivial()) &&
@@ -93,7 +75,7 @@ const AnalysisEngine::Stats& AnalysisEngine::runFile(const std::string& path,
       {
         obs::FlightSpan span(readerFlog_, obs::Stage::Finalize,
                              static_cast<std::uint32_t>(passes_.size()));
-        finalizeAll(std::max(shards, config_.workers));
+        finalizeAll(shards);
       }
       return stats_;
     }
@@ -157,133 +139,6 @@ void AnalysisEngine::runSerial(TraceReader& reader) {
       passes_[i]->observe(batch, 0);
     }
   }
-  noteScanDone(shardRecords, reader.nameInterner().size(),
-               reader.handleInterner().size());
-}
-
-void AnalysisEngine::runParallel(TraceReader& reader) {
-  const std::size_t workers = config_.workers;
-  const std::size_t poolSize = workers * config_.queueBatches + 1;
-  const bool havePred = !config_.predicate.trivial();
-
-  std::vector<std::unique_ptr<BatchSlot>> pool;
-  pool.reserve(poolSize);
-  for (std::size_t i = 0; i < poolSize; ++i) {
-    pool.push_back(std::make_unique<BatchSlot>());
-  }
-  std::vector<std::unique_ptr<SpscRing<BatchSlot*>>> rings;
-  rings.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    rings.push_back(
-        std::make_unique<SpscRing<BatchSlot*>>(config_.queueBatches));
-  }
-
-  std::vector<std::uint64_t> shardRecords(workers, 0);
-  std::vector<obs::ThreadLog*> workerFlogs(workers, nullptr);
-  if (flight_) {
-    for (std::size_t w = 0; w < workers; ++w) {
-      workerFlogs[w] =
-          flight_->attachThread("engine.worker" + std::to_string(w));
-    }
-  }
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([this, w, workers, &rings, &workerFlogs] {
-      SpscRing<BatchSlot*>& ring = *rings[w];
-      obs::ThreadLog* flog = workerFlogs[w];
-      for (;;) {
-        BatchSlot* slot = nullptr;
-        std::uint64_t starveStart = 0;  // batch-ring-empty episode
-        while (!ring.tryPop(slot)) {
-          if (flog && starveStart == 0) starveStart = flog->nowNs();
-          std::this_thread::yield();
-        }
-        if (starveStart != 0) {
-          flog->complete(obs::Stage::WorkerBatchWait, starveStart);
-        }
-        if (!slot) break;  // EOF sentinel
-        const TraceBatch& batch = slot->batch;
-        for (std::size_t i = 0; i < passes_.size(); ++i) {
-          AnalysisPass* pass = passes_[i];
-          bool mine = pass->mergeable()
-                          ? batch.seq % workers == w
-                          : i % workers == w;
-          if (!mine) continue;
-          obs::TimerSpan span(passHist_[i]
-                                  ? obs::HistogramHandle(*passHist_[i], w)
-                                  : obs::HistogramHandle());
-          obs::FlightSpan fspan(flog, obs::Stage::PassObserve,
-                                static_cast<std::uint32_t>(i));
-          pass->observe(batch, pass->mergeable() ? w : 0);
-        }
-        slot->refs.fetch_sub(1, std::memory_order_release);
-      }
-    });
-  }
-
-  // Reader loop: decode into a free pooled slot, then hand the same
-  // pointer to every worker (refcount = workers).
-  std::size_t scan = 0;
-  for (;;) {
-    BatchSlot* slot = nullptr;
-    std::uint64_t poolWaitStart = 0;  // every-slot-referenced episode
-    for (;;) {
-      for (std::size_t tries = 0; tries < poolSize; ++tries) {
-        BatchSlot* cand = pool[scan].get();
-        scan = (scan + 1) % poolSize;
-        if (cand->refs.load(std::memory_order_acquire) == 0) {
-          slot = cand;
-          break;
-        }
-      }
-      if (slot) break;
-      if (readerFlog_ && poolWaitStart == 0) {
-        poolWaitStart = readerFlog_->nowNs();
-      }
-      std::this_thread::yield();
-    }
-    if (poolWaitStart != 0) {
-      readerFlog_->complete(obs::Stage::BatchPoolWait, poolWaitStart);
-    }
-    std::uint64_t decodeStart = readerFlog_ ? readerFlog_->nowNs() : 0;
-    if (!reader.nextBatch(slot->batch, config_.batchRecords)) break;
-    if (readerFlog_) {
-      readerFlog_->complete(obs::Stage::ReaderDecode, decodeStart,
-                            static_cast<std::uint32_t>(slot->batch.n));
-    }
-    if (slot->batch.endedAtResync) {
-      ++stats_.resyncCuts;
-      resyncC_.inc();
-      if (readerFlog_) {
-        readerFlog_->instant(obs::Stage::RecoveryCut, stats_.batches);
-      }
-    }
-    if (havePred) stats_.recordsFiltered += applyPredicate(slot->batch);
-    if (slot->batch.n == 0) continue;  // fully filtered; slot stays free
-    ++stats_.batches;
-    stats_.records += slot->batch.n;
-    shardRecords[slot->batch.seq % workers] += slot->batch.n;
-    batchesC_.inc();
-    recordsC_.inc(slot->batch.n);
-    slot->refs.store(static_cast<std::uint32_t>(workers),
-                     std::memory_order_relaxed);
-    for (std::size_t w = 0; w < workers; ++w) {
-      BatchSlot* p = slot;
-      while (!rings[w]->tryPush(p)) {
-        std::this_thread::yield();
-        p = slot;  // tryPush moves from its argument
-      }
-    }
-  }
-  for (std::size_t w = 0; w < workers; ++w) {
-    BatchSlot* sentinel = nullptr;
-    while (!rings[w]->tryPush(sentinel)) {
-      std::this_thread::yield();
-      sentinel = nullptr;
-    }
-  }
-  for (auto& t : threads) t.join();
   noteScanDone(shardRecords, reader.nameInterner().size(),
                reader.handleInterner().size());
 }

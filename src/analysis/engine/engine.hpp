@@ -1,24 +1,31 @@
-// Single-pass, multi-consumer, parallel analysis driver.
+// Single-pass, multi-consumer analysis engine.
 //
 // Legacy analysis tooling scanned the trace once per analysis — eight
 // decodes of the same bytes for the standard table set.  The engine
-// decodes each batch exactly once and fans it out to every registered
-// AnalysisPass:
+// decodes each batch exactly once and hands it to every registered
+// AnalysisPass.  There are two scan paths:
 //
-//   reader thread:  TraceReader::nextBatch -> refcounted batch slot
-//                   -> one pointer push per worker SPSC ring
-//   worker w:       mergeable passes   — observe(batch, w) iff
-//                                        batch.seq % workers == w
-//                   sequential passes  — pass p is pinned to worker
-//                                        p % workers and sees every batch
-//                                        in stream order
-//   finalize:       passes finalize in parallel; mergeable passes fold
-//                   their shards with exact (integer/min-max/union)
-//                   merges
+//   serial:  run(reader), and runFile() on text, index-less or torn v2,
+//            recover-mode input, or single-threaded unfiltered v2.  The
+//            calling thread decodes with TraceReader::nextBatch and
+//            calls every pass's observe(batch, 0) in stream order;
+//            passes then finalize one after another.
+//   extent:  runFile() on indexed v2 input with decodeThreads > 1 or a
+//            non-trivial predicate (extent_scan.cpp).  Decode threads
+//            (inline on the calling thread when decodeThreads <= 1)
+//            claim whole extents from the footer index, prune them by
+//            zone map, and run the mergeable passes on their own shard;
+//            the calling thread feeds the sequential passes every batch
+//            in stream order through a reorder queue.  Passes finalize
+//            concurrently across the decode-thread count, and mergeable
+//            passes fold their shards with exact (integer/min-max/union)
+//            merges.
 //
-// Determinism: batches are numbered by the reader, shard assignment is
-// seq % workers, and every merge is exact — so results are byte-identical
-// to the serial path at any worker count (pinned in tests/engine_test).
+// Determinism: batch numbering on the extent path comes from the
+// footer's cumulative record counts, interner writes land in extent
+// order, and every merge is exact — so reports are byte-identical to the
+// serial path at any thread count (pinned in tests/engine_test and
+// tests/query_test).
 #pragma once
 
 #include <cstdint>
@@ -34,26 +41,20 @@ namespace nfstrace {
 class AnalysisEngine {
  public:
   struct Config {
-    /// Worker threads; 0 or 1 runs the scan inline (no threads).
-    std::size_t workers = 1;
     /// Records per batch.
     std::size_t batchRecords = TraceBatch::kDefaultCapacity;
-    /// In-flight batches per worker ring; the pool holds
-    /// workers * queueBatches + 1 slots.
-    std::size_t queueBatches = 8;
     /// Alert when the interners grow past this many ids combined
     /// (engine.intern_high_water) — a runaway namespace or a corrupt
     /// trace interning garbage.
     std::size_t internHighWater = 1u << 20;
     /// Alert (engine.merge_skew) when the busiest mergeable shard saw
     /// more than this factor times the records of the laziest: the
-    /// deterministic seq % workers deal went pathological.
+    /// extent claims of the decode threads went pathological.
     double mergeSkewFactor = 8.0;
     /// Decode threads for the extent-parallel scan runFile() takes on
-    /// indexed v2 input; 0 or 1 decodes inline.  Independent of
-    /// `workers`: on the extent path the decode threads *are* the
-    /// observers (mergeable passes run on them, sequential passes on
-    /// the in-order consumer), so `workers` is not used there.
+    /// indexed v2 input; 0 or 1 decodes inline.  The decode threads are
+    /// also the observers: mergeable passes run on them, sequential
+    /// passes on the in-order consumer.
     std::size_t decodeThreads = 1;
     /// Pushdown filter.  Non-trivial predicates filter record-by-record
     /// on every path, and additionally prune whole extents via the v2
@@ -89,19 +90,20 @@ class AnalysisEngine {
   void attachMetrics(obs::Registry& registry);
 
   /// Bind a flight recorder: decode/pass-observe spans, pool- and
-  /// ring-wait stall episodes, and recovery-cut instants land on
-  /// "engine.reader" / "engine.worker<w>" tracks.
+  /// reorder-wait stall episodes, and recovery-cut instants land on
+  /// "engine.reader" / "engine.decode<w>" tracks.
   void attachFlight(obs::FlightRecorder& flight);
 
-  /// Drive every pass over the reader's stream in one scan (prepare ->
-  /// observe* -> finalize).  Reusable: each call re-prepares the passes.
+  /// Drive every pass over the reader's stream in one serial scan
+  /// (prepare -> observe* -> finalize).  Reusable: each call re-prepares
+  /// the passes.
   const Stats& run(TraceReader& reader);
 
   /// Scan a trace file, picking the fastest applicable path: indexed v2
   /// input with decodeThreads > 1 or a non-trivial predicate goes
   /// through the extent-parallel scanner (zone-map pruning + per-extent
-  /// decode fan-out); everything else — v1 formats, index-less or torn
-  /// v2, recover mode — falls back to the classic reader scan.  Reports
+  /// decode fan-out); everything else — text, index-less or torn v2,
+  /// recover mode — falls back to the serial reader scan.  Reports
   /// are byte-identical across paths and thread counts.
   const Stats& runFile(const std::string& path, bool recover = false);
 
@@ -109,7 +111,6 @@ class AnalysisEngine {
 
  private:
   void runSerial(TraceReader& reader);
-  void runParallel(TraceReader& reader);
   /// The extent scheduler (src/analysis/engine/extent_scan.cpp).  The
   /// caller owns the global interners so they outlive the scan into
   /// finalize (passes hold pointers into them).

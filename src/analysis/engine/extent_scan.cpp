@@ -1,7 +1,7 @@
 // Extent-parallel scan: the v2 decode stage, parallelized across the
 // footer index.
 //
-// The classic engine paths funnel every byte through one reader thread;
+// The serial engine path funnels every byte through one reader thread;
 // BENCH_format pins a raw v2 extent scan near 12M rec/s while the
 // 8-pass engine sits at ~300k — the decode is the serialized stage.
 // Here the footer index turns the file into a bag of independently
@@ -23,10 +23,10 @@
 //   consumer:   the calling thread pops batches from a bounded reorder
 //               queue in sequence order and drives the sequential
 //               passes — the same every-batch-in-stream-order contract
-//               the classic paths give them.
+//               the serial path gives them.
 //
-// Strict-mode only: any damaged extent throws (like a strict classic
-// scan); recover-mode scans take the classic path in runFile().
+// Strict-mode only: any damaged extent throws (like a strict serial
+// scan); recover-mode scans take the serial path in runFile().
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -43,6 +43,10 @@
 
 namespace nfstrace {
 namespace {
+
+/// In-flight batches per decode thread: the reorder pool holds
+/// decodeThreads * kQueueBatches + 1 slots.
+constexpr std::size_t kQueueBatches = 8;
 
 /// One surviving extent, with its precomputed global batch numbering.
 struct ExtentTask {
@@ -200,7 +204,7 @@ void AnalysisEngine::runExtentParallel(
   }
 
   // Threaded path.
-  const std::size_t poolSize = decodeWorkers * config_.queueBatches + 1;
+  const std::size_t poolSize = decodeWorkers * kQueueBatches + 1;
   std::vector<std::unique_ptr<ScanSlot>> pool;
   pool.reserve(poolSize);
   std::vector<ScanSlot*> freeSlots;

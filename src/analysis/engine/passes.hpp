@@ -224,8 +224,7 @@ class PathRecPass final : public AnalysisPass {
   PathReconstructor pathrec_;
 };
 
-/// The full standard bundle, in a fixed order (the order also spreads
-/// sequential passes round-robin across workers).
+/// The full standard bundle, in a fixed order.
 struct StandardAnalyses {
   SummaryPass summary;
   HourlyPass hourly;

@@ -244,6 +244,11 @@ void TraceDaemon::recoverPart(std::uint64_t seq, std::uint64_t submittedToPart,
     TraceRecord rec;
     while (reader.nextInto(rec)) records.push_back(rec);
     rstats = reader.recoverStats();
+  } catch (const RetiredTraceFormatError&) {
+    // A part in the retired v1 binary format holds records this build
+    // cannot read: refuse to start and leave the file on disk rather
+    // than discard it as unsalvageable.
+    throw;
   } catch (...) {
     // Unreadable beyond salvage (e.g. truncated before any framing):
     // nothing recoverable, no checkpoint evidence.
@@ -545,7 +550,7 @@ std::string TraceDaemon::engineReport(const std::string& path,
   AnalysisEngine engine(ecfg);
   engine.addPasses(analyses.all());
   // runFile: indexed v2 segments decode extent-parallel when
-  // decodeThreads > 1; v1 and index-less input takes the classic
+  // decodeThreads > 1; text and index-less input takes the serial
   // reader path.  Either way the report is byte-identical.
   recordsOut = engine.runFile(path).records;
   // The input label must match on both sides of the comparison, so the

@@ -10,7 +10,7 @@
 //   captured == sealed + recovered + lost          (Books::balanced)
 //
 // Rotation is checkpoint-aligned: the active `<prefix>-NNNNNN.part`
-// segment is finalized (v2: tail extent + footer index; v1: final
+// segment is finalized (v2: tail extent + footer index; text: final
 // checkpoint), flushed, fsync'd, renamed to `<prefix>-NNNNNN.trace`
 // (rename is atomic), and only then journaled in the manifest, which is
 // itself replaced atomically.  The crash matrix (see DESIGN.md):
@@ -41,7 +41,7 @@
 //
 // Retention runs incrementally after each rotation: oldest segments are
 // retired when count/bytes/age budgets are exceeded (the books are NOT
-// rewound — retirement is policy, not loss), and v1 segments past a
+// rewound — retirement is policy, not loss), and text segments past a
 // configurable age are compacted to columnar v2, verified byte-identical
 // via the standard 8-pass engine report before the original is unlinked.
 #pragma once

@@ -35,9 +35,9 @@ void MirrorPort::onFrame(const CapturedPacket& pkt) {
 
 NfsTransport::NfsTransport(Config config, NfsServer& server, FrameSink* tap,
                            std::uint64_t seed, MountServer* mountd,
-                           Portmapper* portmap)
+                           Portmapper* portmap, std::uint16_t* ipIds)
     : config_(config), server_(server), mountd_(mountd), portmap_(portmap),
-      tap_(tap), rng_(seed) {
+      tap_(tap), rng_(seed), ipId_(ipIds ? ipIds : &ownIpId_) {
   nextXid_ = static_cast<std::uint32_t>(rng_.next());
 }
 
@@ -151,8 +151,7 @@ void NfsTransport::emitFrames(MicroTime ts,
     frames = segmentTcpStream(src, srcPort, dst, dstPort, seq, marked,
                               config_.mtu - 40);
   } else {
-    static std::uint16_t ipId = 1;
-    frames = buildUdpFrames(src, srcPort, dst, dstPort, ipId++, rpcBody,
+    frames = buildUdpFrames(src, srcPort, dst, dstPort, (*ipId_)++, rpcBody,
                             config_.mtu);
   }
 

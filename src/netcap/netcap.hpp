@@ -105,9 +105,16 @@ class NfsTransport {
     std::string machineName = "client";
   };
 
+  /// `ipIds` is the IPv4 identification counter UDP datagrams are
+  /// numbered from.  A simulation passes one counter shared by all its
+  /// hosts, so its frames depend only on its own inputs; nullptr gives
+  /// the transport a private counter.  Not owned; must outlive the
+  /// transport.
   NfsTransport(Config config, NfsServer& server, FrameSink* tap,
                std::uint64_t seed = 1, MountServer* mountd = nullptr,
-               Portmapper* portmap = nullptr);
+               Portmapper* portmap = nullptr, std::uint16_t* ipIds = nullptr);
+  NfsTransport(const NfsTransport&) = delete;
+  NfsTransport& operator=(const NfsTransport&) = delete;
 
   struct Outcome {
     NfsReplyRes reply;
@@ -144,6 +151,8 @@ class NfsTransport {
   FrameSink* tap_;
   Rng rng_;
   std::uint32_t nextXid_;
+  std::uint16_t ownIpId_ = 1;
+  std::uint16_t* ipId_;  // &ownIpId_ unless a simulation shares one
   std::uint32_t tcpSeqClient_ = 1;
   std::uint32_t tcpSeqServer_ = 1;
   std::uint64_t callsSent_ = 0;

@@ -41,9 +41,7 @@ constexpr StageInfo kStages[kStageCount] = {
     {"trace.checkpoint", false, Stage::kStageCount, Stage::kStageCount},
     // Analysis engine.
     {"engine.reader_decode", false, Stage::kStageCount, Stage::kStageCount},
-    {"engine.batch_pool_wait", true, Stage::ReaderDecode, Stage::PassObserve},
-    {"engine.worker_batch_wait", true, Stage::PassObserve,
-     Stage::ReaderDecode},
+    {"engine.batch_pool_wait", true, Stage::ExtentDecode, Stage::PassObserve},
     {"engine.pass_observe", false, Stage::kStageCount, Stage::kStageCount},
     {"engine.finalize", false, Stage::kStageCount, Stage::kStageCount},
     // Degradation / fault decisions.

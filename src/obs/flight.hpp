@@ -72,9 +72,8 @@ enum class Stage : std::uint16_t {
   WriterCheckpoint,  ///< instant: checkpoint footer appended
   // Analysis engine (src/analysis/engine).
   ReaderDecode,    ///< reader: decoding one batch from the trace
-  BatchPoolWait,   ///< reader stalled: every pool slot still referenced
-  WorkerBatchWait, ///< engine worker starved: batch ring empty
-  PassObserve,     ///< worker: one pass observing one batch
+  BatchPoolWait,   ///< extent decoder stalled: every reorder-pool slot held
+  PassObserve,     ///< one pass observing one batch
   Finalize,        ///< finalize/merge phase across passes
   // Degradation & fault-plan decisions.
   FaultDrop,     ///< instant: fault plan dropped a frame (arg = index)
@@ -84,7 +83,7 @@ enum class Stage : std::uint16_t {
   // Continuous-capture daemon (src/daemon).
   DaemonRotate,   ///< sealing + renaming the active segment
   DaemonRecover,  ///< startup recovery of a torn active segment
-  DaemonCompact,  ///< background v1 -> v2 segment compaction
+  DaemonCompact,  ///< background text -> v2 segment compaction
   DaemonShed,     ///< instant: record shed while the trace disk is down
   // Extent-parallel scan (src/analysis/engine/extent_scan).
   ExtentClaim,     ///< instant: worker claimed extent (arg = task index)

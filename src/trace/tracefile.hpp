@@ -6,14 +6,17 @@
 //   t=0.013202 r=0.013514 c=10.1.0.5 s=10.0.0.1 xid=1a2b v=3 p=udp op=read
 //   fh=0001...:  off=0 cnt=8192 st=OK ret=8192 eof=1 sz=123456 mt=999.0
 //
-// Unknown keys are skipped on read, so the format can grow.  A compact
-// binary format (magic "NFST") is also provided for large traces.
+// Unknown keys are skipped on read, so the format can grow.  The machine
+// archive format is v2 (trace/v2.hpp): columnar extents behind the magic
+// "NFST2".  The retired v1 binary format (magic "NFST1") is still
+// recognised, but only to refuse it with an error that names it.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,6 +31,15 @@
 namespace nfstrace {
 
 class IoFaultInjector;  // src/fault — optional write-fault hook
+
+/// Thrown on opening a file in the retired v1 binary format (magic
+/// "NFST1"); the message names the format.  Distinct from other read
+/// errors so that salvage code, which treats an unreadable file as
+/// having nothing to recover, lets this one through instead.
+class RetiredTraceFormatError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// Append one record as a text line (no trailing newline) to `out`.
 /// Allocation-light: everything is rendered with snprintf into the
@@ -49,11 +61,11 @@ bool parseRecordInto(std::string_view line, TraceRecord& rec);
 /// is formatting only (no per-record heap allocation or fwrite call).
 class TraceWriter {
  public:
-  enum class Format { Text, Binary, V2 };
+  enum class Format { Text, V2 };
 
   /// Durability knobs.  Defaults match the historical writer except for
-  /// checkpoints, which are cheap (a comment line / sentinel record every
-  /// few thousand records) and make crash/corruption recovery exact.
+  /// checkpoints, which are cheap (a comment line every few thousand
+  /// records) and make crash/corruption recovery exact.
   struct Options {
     Format format = Format::Text;
     /// Append a checkpoint footer every N records (0 disables).  The
@@ -97,7 +109,7 @@ class TraceWriter {
   /// Flush the batch buffer and the underlying stream.
   void flush();
   /// Seal the file completely (V2: tail extent + footer index + trailer;
-  /// v1: final checkpoint), flush, optionally fsync, and close.  Unlike
+  /// text: final checkpoint), flush, optionally fsync, and close.  Unlike
   /// the destructor — which does the same work but must swallow errors —
   /// finalize() throws on failure, so a caller that needs to *know* the
   /// segment is durable (the rotation path in src/daemon) can react.
@@ -170,15 +182,15 @@ class TraceReader {
 
   /// `recover == false` (the default) preserves historical behaviour:
   /// corruption throws.  `recover == true` skips corrupt bytes forward to
-  /// the next parseable boundary (text: next well-formed line; binary:
-  /// next checkpoint sentinel) and keeps going, tallying RecoverStats.
+  /// the next parseable boundary (text: next well-formed line; v2: next
+  /// valid extent header) and keeps going, tallying RecoverStats.  Either
+  /// mode throws RetiredTraceFormatError for a file in the retired v1
+  /// binary format.
   explicit TraceReader(const std::string& path, bool recover = false);
   ~TraceReader();
   TraceReader(const TraceReader&) = delete;
   TraceReader& operator=(const TraceReader&) = delete;
 
-  /// Compatibility shim over nextInto(): one freshly constructed record.
-  std::optional<TraceRecord> next();
   /// Decode the next record into `rec`, reusing its string capacity.
   /// Returns false at EOF.
   bool nextInto(TraceRecord& rec);
@@ -207,7 +219,6 @@ class TraceReader {
   /// Refill chunk_ from the file; returns false at EOF.
   bool refill();
   bool nextTextInto(TraceRecord& rec);
-  bool nextBinaryInto(TraceRecord& rec);
   bool nextV2Into(TraceRecord& rec);
   bool nextBatchV2(TraceBatch& batch, std::size_t maxRecords);
   /// V2: read + validate the next extent header and CRC'd payload into
@@ -228,12 +239,8 @@ class TraceReader {
   /// Handle a "#ckpt n=<count>" comment line (text format).
   void noteTextCheckpoint(std::string_view line);
   void reconcileCheckpoint(std::uint64_t count);
-  /// Binary recover mode: byte-scan forward for the next checkpoint
-  /// sentinel magic; returns false at EOF.
-  bool scanToBinaryCheckpoint();
 
   std::FILE* f_ = nullptr;
-  bool binary_ = false;
   bool v2_ = false;
   /// Schema version from the current segment's schema block (4 unless
   /// the segment is legacy schema 2/3; also 4 when recover mode
@@ -248,8 +255,6 @@ class TraceReader {
   std::string chunk_;
   std::size_t pos_ = 0;
   std::string carry_;  // partial line spanning chunk boundaries
-  // Binary path: reusable record-body buffer.
-  std::vector<std::uint8_t> binBuf_;
   // Batch path: interners, sequence counter, and the one-record stash
   // used to cut batches at recovery resync points.
   StringInterner names_;
@@ -260,10 +265,12 @@ class TraceReader {
 };
 
 /// Identify a trace file's format by its magic (files without a known
-/// magic are the text format).  Throws if the file cannot be opened.
+/// magic are the text format).  Throws std::runtime_error if the file
+/// cannot be opened, RetiredTraceFormatError if it is in the retired v1
+/// binary format.
 TraceWriter::Format detectTraceFormat(const std::string& path);
 
-/// "text" / "binary" / "v2" — for CLI flags and status output.
+/// "text" / "v2" — for CLI flags and status output.
 const char* traceFormatName(TraceWriter::Format format);
 
 /// Inverse of traceFormatName; nullopt for unknown names.

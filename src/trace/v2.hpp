@@ -1,6 +1,6 @@
 // Trace format v2: fixed-size column-oriented extents (DataSeries-style).
 //
-// The v1 formats are row-oriented — every record carries every field, and
+// The text format is row-oriented — every record carries every field, and
 // the reader pays a full per-record parse.  v2 groups records into
 // extents of a few thousand records and stores each field as its own
 // contiguous column stream with a per-column encoding:
@@ -31,7 +31,7 @@
 // property both seekable scans and extent-granular recovery rest on.
 // Local dictionary order is first-appearance order within the extent,
 // which makes the reader's global interned ids identical to the ids a
-// v1 per-record decode would assign: the analysis engine's byte-identical
+// text per-record decode would assign: the analysis engine's byte-identical
 // guarantee carries over to v2 input for free.  The identity-tuple
 // ("who") dictionary stores 16-byte packed little-endian
 // (client, server, uid, gid) entries and is decoded into a local lookup
@@ -50,7 +50,7 @@
 // (dictionaries then columns, CRC'd as a unit).  The header carries the
 // cumulative record count of all prior extents, so a recovering reader
 // that skips damage knows exactly how many records it lost — the v2
-// generalization of the v1 checkpoint footer.
+// generalization of the text checkpoint footer.
 #pragma once
 
 #include <cstdint>

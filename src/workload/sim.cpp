@@ -45,7 +45,8 @@ SimEnvironment::SimEnvironment(Config config, RecordCallback callback)
     tc.mtu = config_.mtu;
     tc.machineName = "host" + std::to_string(i);
     transports_.push_back(std::make_unique<NfsTransport>(
-        tc, *server_, &tap_, rng_.next(), mountd_.get(), portmap_.get()));
+        tc, *server_, &tap_, rng_.next(), mountd_.get(), portmap_.get(),
+        &ipIds_));
     auto client = std::make_unique<NfsClient>(config_.clientConfig,
                                               *transports_.back(),
                                               rng_.next());

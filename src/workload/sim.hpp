@@ -76,6 +76,10 @@ class SimEnvironment {
   std::unique_ptr<Sniffer> sniffer_;
   std::unique_ptr<MirrorPort> mirror_;
   FrameTee tap_;
+  /// IPv4 identification counter shared by this simulation's hosts: a
+  /// simulation's frames depend on its own inputs only, not on what ran
+  /// earlier in the process.
+  std::uint16_t ipIds_ = 1;
   std::vector<std::unique_ptr<NfsTransport>> transports_;
   std::vector<std::unique_ptr<NfsClient>> clients_;
   std::vector<TraceRecord> records_;

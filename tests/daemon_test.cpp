@@ -373,6 +373,43 @@ TEST_F(DaemonTest, AdoptsSealedSegmentMissingFromManifest) {
   expectExactStream(sealedRecords(d), 125);
 }
 
+/// Startup over a directory holding `name` in the retired v1 binary
+/// format must refuse with an error naming it and leave the file alone.
+void expectStartupRefusesRetiredBinary(const TraceDaemon::Config& cfg,
+                                       const std::string& name) {
+  const std::string path = cfg.dir + "/" + name;
+  const char raw[] = "NFST1\n\x50\0\0\0t=1.5 op=read";
+  const std::string bytes(raw, sizeof(raw) - 1);
+  writeFileBytes(path, bytes);
+  try {
+    TraceDaemon d(cfg);
+    ADD_FAILURE() << "daemon started over a retired binary " << name;
+  } catch (const RetiredTraceFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("retired v1 binary"),
+              std::string::npos)
+        << e.what();
+  }
+  ASSERT_TRUE(fs::exists(path)) << name << " was deleted";
+  EXPECT_EQ(readFileBytes(path), bytes) << name << " was modified";
+}
+
+TEST_F(DaemonTest, TornRetiredBinaryPartRefusesStartupAndSurvives) {
+  auto cfg = base();
+  cfg.rotateRecords = 50;
+  {
+    TraceDaemon d(cfg);
+    for (std::uint32_t i = 0; i < 50; ++i) d.submit(record(i));
+    d.stop();
+  }
+  expectStartupRefusesRetiredBinary(cfg, "seg-000002.part");
+}
+
+TEST_F(DaemonTest, UnlistedRetiredBinarySegmentRefusesStartupAndSurvives) {
+  auto cfg = base();
+  fs::create_directories(dir_);
+  expectStartupRefusesRetiredBinary(cfg, "seg-000001.trace");
+}
+
 TEST_F(DaemonTest, RemovesStaleTemporariesWithoutDoubleCounting) {
   auto cfg = base();
   cfg.rotateRecords = 50;

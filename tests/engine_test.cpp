@@ -1,6 +1,7 @@
 // Analysis-engine pins: batch decoding equivalence, intern-id stability,
-// recovery on batch boundaries, and the determinism guarantee (output
-// byte-identical to serial at any worker count).
+// recovery on batch boundaries, and the determinism guarantee (the
+// extent-parallel scan of a v2 re-encode is byte-identical to the serial
+// text scan at any decode-thread count).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -50,47 +51,61 @@ class EngineTest : public ::testing::Test {
     // ctest entry, so concurrent processes would race on a fixed path.
     std::string pid = std::to_string(::getpid());
     textPath_ = new std::string("/tmp/engine_test_" + pid + "_text.trace");
-    binPath_ = new std::string("/tmp/engine_test_" + pid + "_bin.trace");
+    v2Path_ = new std::string("/tmp/engine_test_" + pid + "_v2.trace");
     {
       TraceWriter w(*textPath_, TraceWriter::Format::Text);
       for (const auto& r : *records_) w.write(r);
     }
     {
-      TraceWriter w(*binPath_, TraceWriter::Format::Binary);
-      for (const auto& r : *records_) w.write(r);
+      // Re-encode what the text file holds; small extents give the
+      // extent scheduler many units to spread across decode threads.
+      TraceWriter::Options opts;
+      opts.format = TraceWriter::Format::V2;
+      opts.v2ExtentRecords = 97;
+      TraceWriter w(*v2Path_, opts);
+      TraceReader reader(*textPath_);
+      TraceRecord rec;
+      while (reader.nextInto(rec)) w.write(rec);
     }
   }
 
   static void TearDownTestSuite() {
     std::remove(textPath_->c_str());
-    std::remove(binPath_->c_str());
+    std::remove(v2Path_->c_str());
     delete records_;
     delete textPath_;
-    delete binPath_;
+    delete v2Path_;
     records_ = nullptr;
     textPath_ = nullptr;
-    binPath_ = nullptr;
+    v2Path_ = nullptr;
   }
 
   static std::vector<TraceRecord>* records_;
   static std::string* textPath_;
-  static std::string* binPath_;
+  static std::string* v2Path_;
 };
 
 std::vector<TraceRecord>* EngineTest::records_ = nullptr;
 std::string* EngineTest::textPath_ = nullptr;
-std::string* EngineTest::binPath_ = nullptr;
+std::string* EngineTest::v2Path_ = nullptr;
 
-std::string runEngineReport(const std::string& path, std::size_t workers,
-                            bool recover = false) {
+/// The 8-pass report over `path` through runFile: serial for text,
+/// recover mode and single-threaded v2; the extent scheduler for v2 at
+/// decodeThreads > 1.  The label is constant so reports over different
+/// encodings of the same records compare equal.
+std::string runEngineReport(
+    const std::string& path, std::size_t decodeThreads = 1,
+    std::size_t batchRecords = TraceBatch::kDefaultCapacity,
+    bool recover = false, AnalysisEngine::Stats* statsOut = nullptr) {
   StandardAnalyses analyses;
   AnalysisEngine::Config cfg;
-  cfg.workers = workers;
+  cfg.decodeThreads = decodeThreads;
+  cfg.batchRecords = batchRecords;
   AnalysisEngine engine(cfg);
   engine.addPasses(analyses.all());
-  TraceReader reader(path, recover);
-  engine.run(reader);
-  return renderReportText(path, analyses);
+  const auto& st = engine.runFile(path, recover);
+  if (statsOut) *statsOut = st;
+  return renderReportText("trace", analyses);
 }
 
 // -------------------------------------------- batch reader equivalence
@@ -103,9 +118,9 @@ void checkBatchMatchesNext(const std::string& path) {
   while (batched.nextBatch(batch, 57)) {  // odd size: batches straddle
     ASSERT_GT(batch.n, 0u);
     for (std::size_t i = 0; i < batch.n; ++i) {
-      auto expect = one.next();
-      ASSERT_TRUE(expect.has_value()) << "batch reader produced extras";
-      EXPECT_EQ(formatRecord(batch.records[i]), formatRecord(*expect));
+      TraceRecord expect;
+      ASSERT_TRUE(one.nextInto(expect)) << "batch reader produced extras";
+      EXPECT_EQ(formatRecord(batch.records[i]), formatRecord(expect));
       // Interned ids decode back to exactly the record's own fields.
       const TraceRecord& r = batch.records[i];
       EXPECT_EQ(batch.nameInterner->view(batch.nameId[i]), r.name);
@@ -117,7 +132,8 @@ void checkBatchMatchesNext(const std::string& path) {
       ++total;
     }
   }
-  EXPECT_FALSE(one.next().has_value()) << "batch reader lost records";
+  TraceRecord extra;
+  EXPECT_FALSE(one.nextInto(extra)) << "batch reader lost records";
   EXPECT_GT(total, 0u);
 }
 
@@ -125,18 +141,8 @@ TEST_F(EngineTest, BatchReaderMatchesNextText) {
   checkBatchMatchesNext(*textPath_);
 }
 
-TEST_F(EngineTest, BatchReaderMatchesNextBinary) {
-  checkBatchMatchesNext(*binPath_);
-}
-
-TEST_F(EngineTest, NextShimStillWorks) {
-  TraceReader reader(*textPath_);
-  std::size_t n = 0;
-  while (auto rec = reader.next()) {
-    EXPECT_EQ(formatRecord(*rec), formatRecord((*records_)[n]));
-    ++n;
-  }
-  EXPECT_EQ(n, records_->size());
+TEST_F(EngineTest, BatchReaderMatchesNextV2) {
+  checkBatchMatchesNext(*v2Path_);
 }
 
 TEST_F(EngineTest, ReadAllMatchesRecords) {
@@ -233,49 +239,66 @@ TEST_F(EngineTest, RecoverResyncsLandOnBatchBoundaries) {
   }
   EXPECT_EQ(resyncCuts, 1u);
 
-  // The full engine runs over the damaged trace and stays deterministic.
-  std::string serial = runEngineReport(corruptPath, 1, true);
-  std::string parallel = runEngineReport(corruptPath, 4, true);
-  EXPECT_EQ(serial, parallel);
+  // The engine over the damaged trace reports exactly what it reports
+  // over a clean trace holding just the recovered records.
+  std::string cleanPath =
+      "/tmp/engine_test_" + std::to_string(::getpid()) + "_recovered.trace";
+  {
+    TraceWriter w(cleanPath, TraceWriter::Format::Text);
+    for (const auto& r : expected) w.write(r);
+  }
+  AnalysisEngine::Stats st;
+  std::string damaged = runEngineReport(
+      corruptPath, 1, TraceBatch::kDefaultCapacity, /*recover=*/true, &st);
+  EXPECT_EQ(st.records, expected.size());
+  EXPECT_EQ(st.resyncCuts, 1u);
+  EXPECT_EQ(damaged, runEngineReport(cleanPath));
   std::remove(corruptPath.c_str());
+  std::remove(cleanPath.c_str());
 }
 
 // -------------------------------------------------------- determinism
 
 TEST_F(EngineTest, ReportByteIdenticalAtAnyWorkerCount) {
-  std::string serial = runEngineReport(*textPath_, 1);
+  // The serial text scan is the oracle; the v2 re-encode must match it
+  // serially and through the extent scheduler at any thread count.
+  std::string serial = runEngineReport(*textPath_);
   EXPECT_FALSE(serial.empty());
-  for (std::size_t workers : {2u, 4u, 7u}) {
-    EXPECT_EQ(runEngineReport(*textPath_, workers), serial)
-        << "report diverged at " << workers << " workers";
+  EXPECT_EQ(runEngineReport(*v2Path_), serial) << "serial v2 scan diverged";
+  for (std::size_t threads : {2u, 4u, 7u}) {
+    AnalysisEngine::Stats st;
+    EXPECT_EQ(runEngineReport(*v2Path_, threads, TraceBatch::kDefaultCapacity,
+                              false, &st),
+              serial)
+        << "report diverged at " << threads << " decode threads";
+    EXPECT_GT(st.extentsTotal, 1u) << "extent path not taken";
   }
-  // Small batches force many seq%workers handoffs; still identical.
-  StandardAnalyses analyses;
-  AnalysisEngine::Config cfg;
-  cfg.workers = 3;
-  cfg.batchRecords = 19;
-  AnalysisEngine engine(cfg);
-  engine.addPasses(analyses.all());
-  TraceReader reader(*textPath_);
-  engine.run(reader);
-  EXPECT_EQ(renderReportText(*textPath_, analyses), serial);
+  // Small batches: many batches per extent through the reorder queue,
+  // with batches cut short at every extent end; still identical.
+  for (std::size_t threads : {2u, 4u, 7u}) {
+    EXPECT_EQ(runEngineReport(*v2Path_, threads, 19), serial)
+        << "report diverged at " << threads
+        << " decode threads, 19-record batches";
+  }
 }
 
 TEST_F(EngineTest, JsonReportDeterministicToo) {
-  auto runJson = [&](std::size_t workers) {
+  auto runJson = [&](const std::string& path, std::size_t threads) {
     StandardAnalyses analyses;
     AnalysisEngine::Config cfg;
-    cfg.workers = workers;
+    cfg.decodeThreads = threads;
     AnalysisEngine engine(cfg);
     engine.addPasses(analyses.all());
-    TraceReader reader(*textPath_);
-    engine.run(reader);
-    return renderReportJson(*textPath_, analyses);
+    engine.runFile(path);
+    return renderReportJson("trace", analyses);
   };
-  std::string j1 = runJson(1);
+  std::string j1 = runJson(*textPath_, 1);
   EXPECT_FALSE(j1.empty());
   EXPECT_EQ(j1.front(), '{');
-  EXPECT_EQ(runJson(4), j1);
+  for (std::size_t threads : {2u, 4u, 7u}) {
+    EXPECT_EQ(runJson(*v2Path_, threads), j1)
+        << "JSON diverged at " << threads << " decode threads";
+  }
 }
 
 // --------------------------------------------- legacy-result equality

@@ -223,16 +223,27 @@ TEST(FlightChaos, EndToEndCoversStagesAndRendersValidChromeTrace) {
   }
 
   // Same recorder through the analysis side, as trace_analyze --flight
-  // wires it: reader decode, per-pass observe, finalize.
+  // wires it, over a v2 re-encode on the extent path: extent decode,
+  // per-pass observe, finalize.
+  const std::string v2Path = path + ".v2";
+  {
+    TraceWriter::Options opts;
+    opts.format = TraceWriter::Format::V2;
+    opts.v2ExtentRecords = 16;  // many extents from a small capture
+    TraceWriter writer(v2Path, opts);
+    TraceReader reader(path);
+    TraceRecord rec;
+    while (reader.nextInto(rec)) writer.write(rec);
+  }
   StandardAnalyses analyses;
   AnalysisEngine::Config ecfg;
-  ecfg.workers = 2;
+  ecfg.decodeThreads = 2;
   AnalysisEngine engine(ecfg);
   engine.addPasses(analyses.all());
   engine.attachFlight(flight);
-  TraceReader reader(path);
-  const AnalysisEngine::Stats& st = engine.run(reader);
+  const AnalysisEngine::Stats& st = engine.runFile(v2Path);
   EXPECT_GT(st.records, 0u);
+  EXPECT_GT(st.extentsTotal, 1u);
 
   // Distinct stages covered: the acceptance bar is five; this run must
   // hit capture, write, and analysis stages at minimum.
@@ -252,7 +263,7 @@ TEST(FlightChaos, EndToEndCoversStagesAndRendersValidChromeTrace) {
   EXPECT_TRUE(active.count("pipeline.sniff"));
   EXPECT_TRUE(active.count("pipeline.merge"));
   EXPECT_TRUE(active.count("trace.flush"));
-  EXPECT_TRUE(active.count("engine.reader_decode"));
+  EXPECT_TRUE(active.count("engine.extent_decode"));
   EXPECT_TRUE(active.count("engine.pass_observe"));
   EXPECT_TRUE(active.count("engine.finalize"));
 
@@ -272,6 +283,7 @@ TEST(FlightChaos, EndToEndCoversStagesAndRendersValidChromeTrace) {
   EXPECT_TRUE(flight.writeChromeTrace(path + ".json", &renderedFile));
   EXPECT_EQ(renderedFile, rendered);
   std::remove((path + ".json").c_str());
+  std::remove(v2Path.c_str());
   std::remove(path.c_str());
 }
 

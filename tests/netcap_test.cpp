@@ -4,6 +4,7 @@
 
 #include "netcap/netcap.hpp"
 #include "server/mountd.hpp"
+#include "workload/eecs.hpp"
 #include "workload/sim.hpp"
 
 namespace nfstrace {
@@ -221,6 +222,48 @@ TEST(Mountd, MountTrafficDoesNotPolluteNfsTrace) {
   EXPECT_EQ(st.orphanReplies, 0u);
   for (const auto& r : env.records()) {
     EXPECT_NE(r.op, NfsOp::Unknown);
+  }
+}
+
+// ------------------------------------------------------ per-simulation state
+
+class FrameCollector : public FrameSink {
+ public:
+  void onFrame(const CapturedPacket& pkt) override { frames.push_back(pkt); }
+  std::vector<CapturedPacket> frames;
+};
+
+/// A short EECS slice over UDP at MTU 1500 (NFSv3 and NFSv2 hosts, IP
+/// fragments on every large read/write), every tapped frame collected.
+std::vector<CapturedPacket> simulateEecsUdp() {
+  FrameCollector tap;
+  SimEnvironment::Config cfg;
+  cfg.clientHosts = 4;
+  cfg.hostVersions = {3, 3, 2, 2};
+  cfg.useTcp = false;
+  cfg.mtu = kStandardMtu;
+  SimEnvironment env(cfg);
+  env.addTapSink(&tap);
+  EecsConfig wl;
+  wl.users = 4;
+  EecsWorkload workload(wl, env);
+  MicroTime start = days(1) + hours(10);
+  workload.setup(start);
+  workload.run(start, start + minutes(20));
+  env.finishCapture();
+  return std::move(tap.frames);
+}
+
+TEST(SimulationFrames, SecondIdenticalSimulationWritesIdenticalFrames) {
+  // IP datagram ids belong to the simulation, not the process: running
+  // the same simulation twice in one process yields the same frames.
+  auto first = simulateEecsUdp();
+  auto second = simulateEecsUdp();
+  ASSERT_GT(first.size(), 100u);
+  ASSERT_EQ(first.size(), second.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    ASSERT_EQ(first[i].ts, second[i].ts) << "frame " << i;
+    ASSERT_EQ(first[i].data, second[i].data) << "frame " << i;
   }
 }
 

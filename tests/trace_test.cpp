@@ -166,28 +166,41 @@ TEST_F(TraceFileTest, TextFileRoundTrip) {
   for (std::size_t i = 0; i < 3; ++i) expectEqualRecords(recs[i], back[i]);
 }
 
-TEST_F(TraceFileTest, BinaryFileRoundTrip) {
-  std::vector<TraceRecord> recs = {sampleRecord(NfsOp::Read),
-                                   sampleRecord(NfsOp::Rename),
-                                   sampleRecord(NfsOp::Create)};
-  {
-    TraceWriter w(path_, TraceWriter::Format::Binary);
-    for (const auto& r : recs) w.write(r);
+/// A file in the retired v1 binary format: its magic, then one record
+/// frame's worth of bytes the text parser would otherwise chew on.
+void writeRetiredBinaryFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const char bytes[] = "NFST1\n\x50\0\0\0t=1.5 op=read";
+  std::fwrite(bytes, 1, sizeof(bytes) - 1, f);
+  std::fclose(f);
+}
+
+/// Runs `fn`, which must throw RetiredTraceFormatError naming the
+/// retired binary format.
+template <typename Fn>
+void expectRetiredBinaryError(Fn&& fn) {
+  try {
+    fn();
+    ADD_FAILURE() << "retired binary trace was accepted";
+  } catch (const RetiredTraceFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("retired v1 binary"),
+              std::string::npos)
+        << e.what();
   }
-  auto back = TraceReader::readAll(path_);
-  ASSERT_EQ(back.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) expectEqualRecords(recs[i], back[i]);
 }
 
 TEST_F(TraceFileTest, BinaryDetectedByMagic) {
-  {
-    TraceWriter w(path_, TraceWriter::Format::Binary);
-    w.write(sampleRecord(NfsOp::Read));
-  }
-  TraceReader r(path_);
-  auto rec = r.next();
-  ASSERT_TRUE(rec.has_value());
-  EXPECT_EQ(rec->op, NfsOp::Read);
+  writeRetiredBinaryFile(path_);
+  expectRetiredBinaryError([&] { detectTraceFormat(path_); });
+}
+
+TEST_F(TraceFileTest, RetiredBinaryRejectedInStrictAndRecoverMode) {
+  writeRetiredBinaryFile(path_);
+  expectRetiredBinaryError([&] { TraceReader r(path_); });
+  expectRetiredBinaryError([&] { TraceReader r(path_, /*recover=*/true); });
+  expectRetiredBinaryError([&] { TraceReader::readAll(path_); });
+  expectRetiredBinaryError([&] { TraceReader::recoverAll(path_); });
 }
 
 TEST_F(TraceFileTest, MissingFileThrows) {
@@ -197,22 +210,18 @@ TEST_F(TraceFileTest, MissingFileThrows) {
 TEST_F(TraceFileTest, CheckpointFootersInvisibleToPlainReaders) {
   // Checkpoint footers (written for crash/corruption recovery) must be
   // format-compatible: a reader that knows nothing about recovery sees
-  // only the records, in both text and binary form.
-  for (auto format :
-       {TraceWriter::Format::Text, TraceWriter::Format::Binary}) {
-    TraceWriter::Options opts;
-    opts.format = format;
-    opts.checkpointEveryRecords = 1;  // footer after every record
-    {
-      TraceWriter w(path_, opts);
-      w.write(sampleRecord(NfsOp::Read));
-      w.write(sampleRecord(NfsOp::Write));
-      w.write(sampleRecord(NfsOp::Lookup));
-    }
-    auto back = TraceReader::readAll(path_);
-    ASSERT_EQ(back.size(), 3u);
-    EXPECT_EQ(back[1].op, NfsOp::Write);
+  // only the records.
+  TraceWriter::Options opts;
+  opts.checkpointEveryRecords = 1;  // footer after every record
+  {
+    TraceWriter w(path_, opts);
+    w.write(sampleRecord(NfsOp::Read));
+    w.write(sampleRecord(NfsOp::Write));
+    w.write(sampleRecord(NfsOp::Lookup));
   }
+  auto back = TraceReader::readAll(path_);
+  ASSERT_EQ(back.size(), 3u);
+  EXPECT_EQ(back[1].op, NfsOp::Write);
 }
 
 }  // namespace

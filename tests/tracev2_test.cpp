@@ -319,25 +319,22 @@ TEST_F(TraceV2Test, EmptyTraceHasEmptyIndex) {
 
 TEST_F(TraceV2Test, DetectsFormatsByMagic) {
   auto recs = randomRecords(10);
-  std::string text = path_ + ".t", bin = path_ + ".b";
+  std::string text = path_ + ".t";
   {
     TraceWriter wt(text, TraceWriter::Format::Text);
-    TraceWriter wb(bin, TraceWriter::Format::Binary);
-    for (const auto& r : recs) {
-      wt.write(r);
-      wb.write(r);
-    }
+    for (const auto& r : recs) wt.write(r);
     writeV2(path_, recs);
   }
   EXPECT_EQ(detectTraceFormat(text), TraceWriter::Format::Text);
-  EXPECT_EQ(detectTraceFormat(bin), TraceWriter::Format::Binary);
   EXPECT_EQ(detectTraceFormat(path_), TraceWriter::Format::V2);
   std::remove(text.c_str());
-  std::remove(bin.c_str());
 
+  EXPECT_STREQ(traceFormatName(TraceWriter::Format::Text), "text");
   EXPECT_STREQ(traceFormatName(TraceWriter::Format::V2), "v2");
+  EXPECT_EQ(traceFormatFromName("text"), TraceWriter::Format::Text);
   EXPECT_EQ(traceFormatFromName("v2"), TraceWriter::Format::V2);
-  EXPECT_EQ(traceFormatFromName("binary"), TraceWriter::Format::Binary);
+  // The retired v1 binary format is no longer a name writers accept.
+  EXPECT_EQ(traceFormatFromName("binary"), std::nullopt);
   EXPECT_EQ(traceFormatFromName("bogus"), std::nullopt);
 }
 
